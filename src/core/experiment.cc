@@ -154,7 +154,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   }
   result.summary = metrics::summarize(recorder, controller, 0, horizon);
   result.stats = controller.stats();
-  result.samples = recorder.samples();
+  result.samples = recorder.release_samples();
   publish_replay_metrics(simulator, pump, manager);
   return result;
 }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "rjms/controller.h"
@@ -35,6 +36,9 @@ class Recorder final : public rjms::ControllerObserver {
   void sample(sim::Time now);
 
   const std::vector<Sample>& samples() const noexcept { return samples_; }
+  /// Moves the series out, leaving the recorder empty: for the end of a
+  /// run, when the recorder is about to die and a copy would be waste.
+  std::vector<Sample> release_samples() noexcept { return std::exchange(samples_, {}); }
 
   // --- series extraction (for charts) --------------------------------------
   std::vector<std::int64_t> times() const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "util/check.h"
 #include "util/log.h"
@@ -44,8 +43,17 @@ JobId Controller::submit(const workload::JobRequest& request) {
     return id;
   }
 
-  jobs_.emplace(id, std::move(job));
-  pending_.push_back(id);
+  Job& queued = jobs_.emplace(id, std::move(job)).first->second;
+  auto [slot, fresh] = user_slots_.try_emplace(
+      request.user, static_cast<std::uint32_t>(slot_users_.size()));
+  if (fresh) slot_users_.push_back(request.user);
+  PendingEntry entry;
+  entry.submit_time = request.submit_time;
+  entry.id = id;
+  entry.job = &queued;
+  entry.size_factor = priority_.size_factor(request.requested_cores);
+  entry.user_slot = slot->second;
+  pending_.push_back(entry);
   if (shadow_valid_) {
     stage_quick_attempt(id);
   } else {
@@ -91,7 +99,11 @@ void Controller::quick_attempt(JobId id) {
   if (!plan) return;
   if (est_end > shadow_time_) shadow_extra_nodes_ -= required;
   start_job(job, std::move(*plan));
-  std::erase(pending_, id);
+  // A staged job sits in the tail that arrived after the last full pass.
+  auto queued = std::find_if(pending_.rbegin(), pending_.rend(),
+                             [id](const PendingEntry& entry) { return entry.id == id; });
+  PS_CHECK(queued != pending_.rend());
+  pending_.erase(std::next(queued).base());
 }
 
 void Controller::request_schedule() {
@@ -105,27 +117,25 @@ void Controller::request_schedule() {
 
 void Controller::recompute_priorities() {
   sim::Time now = simulator_.now();
-  // Fairshare factors once per user per pass (total_usage is O(users)).
-  std::unordered_map<std::int32_t, double> fs_factor;
+  // Fair-share factors once per distinct user, all against one usage total:
+  // nothing charges usage while priorities are computed, so the total is
+  // bit-equal to the one factor(user, now) would recompute for every user.
+  double fs_total = 0.0;
   if (config_.fairshare_enabled) {
-    for (JobId id : pending_) {
-      std::int32_t user = jobs_.at(id).request.user;
-      if (fs_factor.count(user) == 0) fs_factor[user] = fairshare_.factor(user, now);
-    }
+    fs_total = fairshare_.total_usage(now);
+    fs_factor_.assign(slot_users_.size(), -1.0);
   }
-  for (JobId id : pending_) {
-    Job& job = jobs_.at(id);
+  for (PendingEntry& entry : pending_) {
     double fs = 1.0;
-    if (config_.fairshare_enabled) fs = fs_factor[job.request.user];
-    // Inline the multifactor formula with the precomputed fs factor.
-    sim::Duration wait = std::max<sim::Duration>(now - job.request.submit_time, 0);
-    const PriorityWeights& w = priority_.weights();
-    double age_factor =
-        std::min(1.0, static_cast<double>(wait) / static_cast<double>(w.age_saturation));
-    double size_factor =
-        std::min(1.0, static_cast<double>(job.request.requested_cores) /
-                          static_cast<double>(cluster_.topology().total_cores()));
-    job.priority = w.age * age_factor + w.size * size_factor + w.fair_share * fs;
+    if (config_.fairshare_enabled) {
+      double& cached = fs_factor_[entry.user_slot];
+      if (cached < 0.0) {
+        cached = fairshare_.factor(slot_users_[entry.user_slot], now, fs_total);
+      }
+      fs = cached;
+    }
+    entry.priority = priority_.combine(now - entry.submit_time, entry.size_factor, fs);
+    entry.job->priority = entry.priority;
   }
 }
 
@@ -370,6 +380,13 @@ void Controller::rescale_running_job(JobId id, cluster::FreqIndex new_freq,
   notify_state_change();
 }
 
+std::vector<JobId> Controller::pending_ids() const {
+  std::vector<JobId> ids;
+  ids.reserve(pending_.size());
+  for (const PendingEntry& entry : pending_) ids.push_back(entry.id);
+  return ids;
+}
+
 const Job& Controller::job(JobId id) const {
   auto it = jobs_.find(id);
   PS_CHECK_MSG(it != jobs_.end(), "unknown job id");
@@ -387,15 +404,7 @@ void Controller::full_pass() {
   pass_epoch_ = epoch_;
 
   recompute_priorities();
-  std::sort(pending_.begin(), pending_.end(), [this](JobId a, JobId b) {
-    const Job& ja = jobs_.at(a);
-    const Job& jb = jobs_.at(b);
-    if (ja.priority != jb.priority) return ja.priority > jb.priority;
-    if (ja.request.submit_time != jb.request.submit_time) {
-      return ja.request.submit_time < jb.request.submit_time;
-    }
-    return a < b;
-  });
+  restore_pass_order(pending_);
 
   sim::Time now = simulator_.now();
   double stretch = governor_ != nullptr ? governor_->max_walltime_stretch() : 1.0;
@@ -404,15 +413,16 @@ void Controller::full_pass() {
   shadow_valid_ = false;
   bool head_blocked = false;
   std::size_t scanned_after_head = 0;
-  std::vector<JobId> started;
+  bool started_any = false;
 
-  for (JobId id : pending_) {
-    Job& job = jobs_.at(id);
+  for (std::size_t pos = 0; pos < pending_.size(); ++pos) {
+    Job& job = *pending_[pos].job;
     if (!head_blocked) {
       auto plan = plan_start(job);
       if (plan) {
         start_job(job, std::move(*plan));
-        started.push_back(id);
+        pending_[pos].job = nullptr;  // marks the entry for removal below
+        started_any = true;
         continue;
       }
       compute_shadow(job);
@@ -431,13 +441,13 @@ void Controller::full_pass() {
     if (!plan) continue;
     if (est_end > shadow_time_) shadow_extra_nodes_ -= required;
     start_job(job, std::move(*plan));
-    started.push_back(id);
+    pending_[pos].job = nullptr;
+    started_any = true;
     ++stats_.backfill_starts;
   }
 
-  if (!started.empty()) {
-    std::unordered_set<JobId> done(started.begin(), started.end());
-    std::erase_if(pending_, [&done](JobId id) { return done.count(id) != 0; });
+  if (started_any) {
+    std::erase_if(pending_, [](const PendingEntry& entry) { return entry.job == nullptr; });
     // Starting jobs bumped the epoch; this pass already accounted for it.
     pass_epoch_ = epoch_;
   }

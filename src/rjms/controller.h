@@ -33,6 +33,7 @@
 #include "rjms/fairshare.h"
 #include "rjms/job.h"
 #include "rjms/node_selector.h"
+#include "rjms/pass_order.h"
 #include "rjms/power_governor.h"
 #include "rjms/priority.h"
 #include "rjms/reservation.h"
@@ -107,6 +108,9 @@ class Controller {
   bool has_job(JobId id) const { return jobs_.count(id) != 0; }
 
   std::size_t pending_count() const noexcept { return pending_.size(); }
+  /// Pending job ids in queue order: pass order as of the last full pass,
+  /// later submissions after it in arrival order.
+  std::vector<JobId> pending_ids() const;
   std::size_t running_count() const noexcept { return running_by_end_.size(); }
 
   /// Running jobs ordered by estimated end (start + scaled walltime).
@@ -229,9 +233,21 @@ class Controller {
 
   std::unordered_map<JobId, Job> jobs_;
   std::vector<JobId> submission_order_;
-  std::vector<JobId> pending_;  ///< sorted by priority each full pass
+  // Pending queue. A full pass that sees a new epoch refreshes every
+  // entry's priority and restores pass order (rjms/pass_order.h) starting
+  // from the previous pass's order; submissions append at the tail and
+  // started jobs leave without reordering the rest, so between passes only
+  // the tail is unsorted.
+  std::vector<PendingEntry> pending_;
   std::set<std::pair<sim::Time, JobId>> running_by_end_;
   std::unordered_map<JobId, sim::EventId> end_events_;
+
+  // Dense user slots for the per-pass fair-share factors: a pending entry
+  // names its user by slot, so a pass scores each distinct user once
+  // without hashing per job. fs_factor_ holds -1 for "not scored yet".
+  std::unordered_map<std::int32_t, std::uint32_t> user_slots_;
+  std::vector<std::int32_t> slot_users_;
+  std::vector<double> fs_factor_;
 
   // Pass-scoped blocked-node cache handed to the selectors; rebuilt lazily
   // by plan_start when the reservation book or the probed span changes.

@@ -25,6 +25,12 @@ class FairShare {
   /// Fair-share factor in (0, 1] for `user` at time `now`.
   double factor(std::int32_t user, sim::Time now) const;
 
+  /// The same factor given `total` = total_usage(now), for callers that
+  /// score many users at one instant (the scheduling pass): the total is
+  /// O(users), so it is computed once per pass instead of once per user.
+  /// Bit-equal to factor(user, now) while the usage table is unchanged.
+  double factor(std::int32_t user, sim::Time now, double total) const;
+
   /// Decayed total usage across users at `now` (core-seconds).
   double total_usage(sim::Time now) const;
 

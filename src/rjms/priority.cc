@@ -1,7 +1,5 @@
 #include "rjms/priority.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace ps::rjms {
@@ -14,18 +12,10 @@ PriorityCalculator::PriorityCalculator(PriorityWeights weights, std::int64_t tot
 
 double PriorityCalculator::compute(const Job& job, sim::Time now,
                                    const FairShare* fairshare) const {
-  sim::Duration wait = std::max<sim::Duration>(now - job.request.submit_time, 0);
-  double age_factor = std::min(
-      1.0, static_cast<double>(wait) / static_cast<double>(weights_.age_saturation));
-  // SLURM's job_size factor favours larger jobs (helps them beat the
-  // starvation that backfilling of small jobs would otherwise cause).
-  double size_factor =
-      std::min(1.0, static_cast<double>(job.request.requested_cores) /
-                        static_cast<double>(total_cores_));
   double fs_factor =
       fairshare != nullptr ? fairshare->factor(job.request.user, now) : 1.0;
-  return weights_.age * age_factor + weights_.size * size_factor +
-         weights_.fair_share * fs_factor;
+  return combine(now - job.request.submit_time, size_factor(job.request.requested_cores),
+                 fs_factor);
 }
 
 }  // namespace ps::rjms

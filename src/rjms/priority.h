@@ -6,6 +6,7 @@
 // with each factor in [0, 1], mirroring SLURM's priority/multifactor plugin.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "rjms/fairshare.h"
@@ -29,6 +30,24 @@ class PriorityCalculator {
 
   /// Priority of a pending job at `now`. `fairshare` may be null (factor 1).
   double compute(const Job& job, sim::Time now, const FairShare* fairshare) const;
+
+  /// Size factor of a job asking for `cores`: fixed for the job's life, so
+  /// the scheduling pass computes it once at submission.
+  double size_factor(std::int64_t cores) const noexcept {
+    // SLURM's job_size factor favours larger jobs (helps them beat the
+    // starvation that backfilling of small jobs would otherwise cause).
+    return std::min(1.0, static_cast<double>(cores) / static_cast<double>(total_cores_));
+  }
+
+  /// The multifactor formula from its inputs. compute() and the controller's
+  /// pass both go through it, so their priorities are bit-equal.
+  double combine(sim::Duration wait, double size_factor, double fs_factor) const noexcept {
+    double age_factor =
+        std::min(1.0, static_cast<double>(std::max<sim::Duration>(wait, 0)) /
+                          static_cast<double>(weights_.age_saturation));
+    return weights_.age * age_factor + weights_.size * size_factor +
+           weights_.fair_share * fs_factor;
+  }
 
   const PriorityWeights& weights() const noexcept { return weights_; }
 

@@ -1576,7 +1576,7 @@ ServeReport run_server(const ServeOptions& options) {
   }
   result.summary = metrics::summarize(recorder, controller, 0, finish);
   result.stats = controller.stats();
-  result.samples = recorder.samples();
+  result.samples = recorder.release_samples();
 
   report.fingerprint = core::fingerprint(result);
   report.admitted = pump.submitted();

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace ps::rjms {
 namespace {
@@ -69,6 +72,32 @@ TEST(FairShare, FactorBounded) {
   double f = fs.factor(1, 0);
   EXPECT_GT(f, 0.0);
   EXPECT_LE(f, 1.0);
+}
+
+TEST(FairShare, FactorGivenTotalIsBitEqual) {
+  // The scheduling pass scores every user against one total_usage(now);
+  // that must give exactly the factor each per-user call recomputes.
+  util::Rng rng(20150525);
+  FairShare fs(sim::hours(3));
+  sim::Time now = 0;
+  std::size_t compared = 0;
+  for (int round = 0; round < 400; ++round) {
+    now += rng.uniform_int(0, sim::hours(2));
+    for (int c = 0, n = static_cast<int>(rng.uniform_int(0, 4)); c < n; ++c) {
+      fs.charge(static_cast<std::int32_t>(rng.uniform_int(0, 60)),
+                rng.chance(0.1) ? 0.0 : rng.uniform(0.0, 1e7), now);
+    }
+    sim::Time at = now + rng.uniform_int(0, sim::hours(30));
+    double total = fs.total_usage(at);
+    for (std::int32_t user = -1; user <= 64; ++user) {  // includes unknown users
+      double alone = fs.factor(user, at);
+      double shared = fs.factor(user, at, total);
+      ASSERT_EQ(std::memcmp(&alone, &shared, sizeof alone), 0)
+          << "user " << user << " at " << at << ": " << alone << " vs " << shared;
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 400u * 66u);
 }
 
 }  // namespace
