@@ -123,7 +123,7 @@ void OnlineGovernor::on_job_end(const rjms::Job& job) {
   }
 }
 
-std::optional<cluster::FreqIndex> OnlineGovernor::optimal_window_freq(
+std::optional<cluster::FreqIndex> OnlineGovernor::price_window(
     const rjms::Reservation& cap) const {
   const cluster::PowerModel& pm = controller_.cluster().power_model();
   const cluster::Topology& topo = controller_.cluster().topology();
@@ -149,6 +149,30 @@ std::optional<cluster::FreqIndex> OnlineGovernor::optimal_window_freq(
     if (f == min_freq_) break;
   }
   return std::nullopt;
+}
+
+std::optional<cluster::FreqIndex> OnlineGovernor::optimal_window_freq(
+    const rjms::Reservation& cap) const {
+  // The price reads only the cap, the switch-off reservations overlapping
+  // it and the (fixed) power model: it holds for one book version.
+  std::uint64_t version = controller_.reservations().version();
+  if (window_price_version_ != version) {
+    window_prices_.clear();
+    window_price_version_ = version;
+  }
+  auto [it, inserted] = window_prices_.try_emplace(cap.id);
+  if (inserted) {
+    ++cache_stats_.window_prices;
+    it->second = price_window(cap);
+    return it->second;
+  }
+  ++cache_stats_.window_price_hits;
+  if (config_.audit_admission_cache) {
+    ++cache_stats_.audits;
+    PS_CHECK_MSG(price_window(cap) == it->second,
+                 "window price memo diverged from brute-force re-pricing");
+  }
+  return it->second;
 }
 
 double OnlineGovernor::projected_watts_at(const rjms::Reservation& cap) const {
@@ -189,10 +213,28 @@ std::size_t OnlineGovernor::VerdictKeyHash::operator()(
   return static_cast<std::size_t>(h);
 }
 
+sim::Duration OnlineGovernor::max_eff_walltime(sim::Duration walltime,
+                                               double degmin) const {
+  sim::Duration longest = 0;
+  for (cluster::FreqIndex f = min_freq_;; ++f) {
+    longest = std::max(longest, static_cast<sim::Duration>(std::llround(
+                                    static_cast<double>(walltime) *
+                                    degradation_.factor(f, degmin))));
+    if (f == max_freq_) break;
+  }
+  return longest;
+}
+
 std::optional<cluster::FreqIndex> OnlineGovernor::compute_admission_freq(
     double node_count, sim::Duration walltime, double degmin, sim::Time now) const {
   const rjms::ReservationBook& book = controller_.reservations();
   double cap_now = book.cap_at(now);
+  // Future windows the longest stretched span reaches, in id order. One
+  // book query serves every frequency: each keeps the windows its own span
+  // reaches, and `fits` is an AND over them. Collected on the first
+  // frequency that passes the instantaneous check.
+  std::vector<const rjms::Reservation*>& windows = window_scratch_;
+  bool collected = false;
 
   // Highest frequency first (Algorithm 2 walks downward on failure).
   for (cluster::FreqIndex f = max_freq_ + 1; f-- > min_freq_;) {
@@ -205,27 +247,38 @@ std::optional<cluster::FreqIndex> OnlineGovernor::compute_admission_freq(
     // Instantaneous check against the live measurement.
     if (controller_.cluster().watts() + delta > cap_now + kWattsEpsilon) continue;
 
+    if (!collected) {
+      windows.clear();
+      book.for_each_overlapping(
+          rjms::ReservationKind::Powercap, now, now + max_eff_walltime(walltime, degmin),
+          [&](const rjms::Reservation& cap) {
+            // Windows already active are covered by the instantaneous check.
+            if (cap.start > now) windows.push_back(&cap);
+          });
+      collected = true;
+    }
+
     // Future windows the (stretched) job span overlaps.
     bool fits = true;
-    book.for_each_overlapping(
-        rjms::ReservationKind::Powercap, now, span_end, [&](const rjms::Reservation& cap) {
-          if (!fits || cap.start <= now) return;  // covered by the instantaneous check
-          if (config_.admission == AdmissionMode::Projection) {
-            double projected = projected_watts_at(cap) + delta;
-            if (projected > cap.watts + kWattsEpsilon) fits = false;
-            return;
-          }
-          // PaperLive / PaperLiveStrict: the job is clamped to the window's
-          // global optimal frequency.
-          std::optional<cluster::FreqIndex> f_star = optimal_window_freq(cap);
-          if (f_star.has_value()) {
-            if (f > *f_star) fits = false;
-          } else if (config_.admission == AdmissionMode::PaperLiveStrict) {
-            fits = false;  // "the job remains pending"
-          } else if (f > min_freq_) {
-            fits = false;  // best effort: only the lowest frequency may pass
-          }
-        });
+    for (const rjms::Reservation* cap : windows) {
+      if (cap->start >= span_end) continue;  // beyond this frequency's span
+      if (config_.admission == AdmissionMode::Projection) {
+        double projected = projected_watts_at(*cap) + delta;
+        if (projected > cap->watts + kWattsEpsilon) fits = false;
+      } else {
+        // PaperLive / PaperLiveStrict: the job is clamped to the window's
+        // global optimal frequency.
+        std::optional<cluster::FreqIndex> f_star = optimal_window_freq(*cap);
+        if (f_star.has_value()) {
+          if (f > *f_star) fits = false;
+        } else if (config_.admission == AdmissionMode::PaperLiveStrict) {
+          fits = false;  // "the job remains pending"
+        } else if (f > min_freq_) {
+          fits = false;  // best effort: only the lowest frequency may pass
+        }
+      }
+      if (!fits) break;
+    }
     if (!fits) continue;
     return f;
   }
@@ -351,8 +404,7 @@ std::optional<rjms::PowerGovernor::Admission> OnlineGovernor::admit(
     verdict = compute_admission_freq(node_count, key.walltime, degmin, now);
     // The longest span this key's frequency walk considered: the per-key
     // carry check must keep future window starts out of it.
-    auto max_eff = static_cast<sim::Duration>(std::llround(
-        static_cast<double>(key.walltime) * degradation_.factor(min_freq_, degmin)));
+    sim::Duration max_eff = max_eff_walltime(key.walltime, degmin);
     verdicts_.emplace(key, CachedVerdict{verdict, max_eff});
     cache_max_eff_walltime_ = std::max(cache_max_eff_walltime_, max_eff);
   }

@@ -9,8 +9,17 @@
 // If even the policy's lowest frequency does not fit, the job stays
 // pending ("Impossible to schedule the job now").
 //
-// Power-projection bookkeeping is incremental (observer callbacks), so an
-// admission test costs O(#overlapping windows), not O(#running jobs).
+// Admission cost. Power-projection bookkeeping is incremental (observer
+// callbacks), so no admission walks the running jobs. One admission makes
+// one powercap book query, over the longest degradation-stretched span its
+// frequency walk can consider; each frequency then tests only the windows
+// its own span reaches, so a walk costs O(#frequencies x #overlapped
+// windows) window tests. A PaperLive window test is a memo lookup: a
+// window's optimal frequency is priced (switch-off query + ladder walk)
+// once per reservation-book version — reservations are only added or
+// removed, and both bump the version — and reused until it moves. A
+// Projection window test walks the book's reservations
+// (projected_watts_at), O(#reservations).
 //
 // Admission verdicts are additionally cached per job class: a verdict
 // depends only on (requested walltime, allocation width, degmin) plus the
@@ -37,6 +46,7 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "core/policy.h"
 #include "core/walltime.h"
@@ -71,7 +81,9 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
   /// policy-allowed frequency at which every node not planned for shutdown
   /// could compute while the whole cluster stays within `cap.watts`.
   /// nullopt when even the policy's lowest frequency does not fit. Used by
-  /// the PaperLive modes; exposed for tests.
+  /// the PaperLive modes and dynamic DVFS; exposed for tests. `cap` must be
+  /// a reservation of the controller's book: the price is memoized by cap
+  /// id for one book version (see the class comment).
   std::optional<cluster::FreqIndex> optimal_window_freq(
       const rjms::Reservation& cap) const;
 
@@ -92,8 +104,10 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
     std::uint64_t carries = 0;        ///< pure time advances that kept the map
     std::uint64_t key_evictions = 0;  ///< single keys dropped by a carry whose
                                       ///< span met an incoming window start
-    std::uint64_t audits = 0;         ///< brute-force re-verdicts performed
+    std::uint64_t audits = 0;         ///< brute-force re-verdicts and re-pricings
     std::uint64_t fast_rejects = 0;   ///< selector walks skipped via cached rejection
+    std::uint64_t window_prices = 0;      ///< window prices computed (memo misses)
+    std::uint64_t window_price_hits = 0;  ///< window prices served by the memo
   };
   const AdmissionCacheStats& admission_cache_stats() const noexcept {
     return cache_stats_;
@@ -105,6 +119,8 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
   };
   CapCache& cache_for(const rjms::Reservation& cap) const;
   double busy_delta(cluster::FreqIndex f) const;
+  /// optimal_window_freq without the memo: the brute-force pricing.
+  std::optional<cluster::FreqIndex> price_window(const rjms::Reservation& cap) const;
 
   rjms::Controller& controller_;
   PowercapConfig config_;
@@ -120,6 +136,14 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
   /// Future-cap persistence sums, keyed by reservation id; entries for
   /// windows that already started are pruned lazily.
   mutable std::map<rjms::ReservationId, CapCache> future_caps_;
+
+  /// optimal_window_freq results by cap id, valid for book version
+  /// window_price_version_; cleared when the version moves.
+  mutable std::unordered_map<rjms::ReservationId, std::optional<cluster::FreqIndex>>
+      window_prices_;
+  mutable std::uint64_t window_price_version_ = ~0ull;
+  /// compute_admission_freq's future-window list, reused across calls.
+  mutable std::vector<const rjms::Reservation*> window_scratch_;
 
   // --- epoch-keyed admission cache -----------------------------------------
 
@@ -142,6 +166,10 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
                                                            sim::Duration walltime,
                                                            double degmin,
                                                            sim::Time now) const;
+
+  /// The longest degradation-stretched walltime over the allowed
+  /// frequency range: the horizon of every span the walk can consider.
+  sim::Duration max_eff_walltime(sim::Duration walltime, double degmin) const;
 
   /// Brings the cache generation up to `now`: no-op when nothing moved,
   /// carry when only time advanced quiescently (see the class comment),

@@ -135,7 +135,6 @@ void Controller::recompute_priorities() {
       fs = cached;
     }
     entry.priority = priority_.combine(now - entry.submit_time, entry.size_factor, fs);
-    entry.job->priority = entry.priority;
   }
 }
 
@@ -380,13 +379,6 @@ void Controller::rescale_running_job(JobId id, cluster::FreqIndex new_freq,
   notify_state_change();
 }
 
-std::vector<JobId> Controller::pending_ids() const {
-  std::vector<JobId> ids;
-  ids.reserve(pending_.size());
-  for (const PendingEntry& entry : pending_) ids.push_back(entry.id);
-  return ids;
-}
-
 const Job& Controller::job(JobId id) const {
   auto it = jobs_.find(id);
   PS_CHECK_MSG(it != jobs_.end(), "unknown job id");
@@ -403,8 +395,13 @@ void Controller::full_pass() {
   if (pass_epoch_ == epoch_) return;  // nothing changed since last pass
   pass_epoch_ = epoch_;
 
-  recompute_priorities();
-  restore_pass_order(pending_);
+  // A lone job has nothing to be ordered against: its priority would be
+  // written and never compared. The next pass with company refreshes every
+  // entry before it sorts.
+  if (pending_.size() > 1) {
+    recompute_priorities();
+    restore_pass_order(pending_);
+  }
 
   sim::Time now = simulator_.now();
   double stretch = governor_ != nullptr ? governor_->max_walltime_stretch() : 1.0;

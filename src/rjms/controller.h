@@ -108,9 +108,11 @@ class Controller {
   bool has_job(JobId id) const { return jobs_.count(id) != 0; }
 
   std::size_t pending_count() const noexcept { return pending_.size(); }
-  /// Pending job ids in queue order: pass order as of the last full pass,
-  /// later submissions after it in arrival order.
-  std::vector<JobId> pending_ids() const;
+  /// The pending queue: pass order as of the last full pass, later
+  /// submissions after it in arrival order. An entry's priority is the one
+  /// its last ordering pass computed; a pass over a lone job orders nothing
+  /// and leaves it as it was.
+  const std::vector<PendingEntry>& pending_entries() const noexcept { return pending_; }
   std::size_t running_count() const noexcept { return running_by_end_.size(); }
 
   /// Running jobs ordered by estimated end (start + scaled walltime).
@@ -233,11 +235,11 @@ class Controller {
 
   std::unordered_map<JobId, Job> jobs_;
   std::vector<JobId> submission_order_;
-  // Pending queue. A full pass that sees a new epoch refreshes every
-  // entry's priority and restores pass order (rjms/pass_order.h) starting
-  // from the previous pass's order; submissions append at the tail and
-  // started jobs leave without reordering the rest, so between passes only
-  // the tail is unsorted.
+  // Pending queue. A full pass that sees a new epoch and at least two
+  // pending jobs refreshes every entry's priority and restores pass order
+  // (rjms/pass_order.h) starting from the previous pass's order;
+  // submissions append at the tail and started jobs leave without
+  // reordering the rest, so between passes only the tail is unsorted.
   std::vector<PendingEntry> pending_;
   std::set<std::pair<sim::Time, JobId>> running_by_end_;
   std::unordered_map<JobId, sim::EventId> end_events_;

@@ -7,10 +7,14 @@
 // work is lost.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/fair.h"
@@ -185,19 +189,38 @@ struct RunResult {
   std::string spool;
 };
 
+util::Subprocess spawn_serve(const RunResult& run, int clients,
+                             const std::vector<std::string>& serve_extra) {
+  std::vector<std::string> serve_argv = {
+      PS_SERVE_BIN, "--spool", run.spool, "--expect-clients",
+      strings::format("%d", clients), "--racks", "2", "--policy", "mix",
+      "--lambda", "0.5", "--stats-ms", "0", "--faults", ""};
+  serve_argv.insert(serve_argv.end(), serve_extra.begin(), serve_extra.end());
+  return util::Subprocess::spawn(serve_argv, run.dir + "/serve.out",
+                                 run.dir + "/serve.err");
+}
+
+/// Waits for the server to finish, then loads its report and the
+/// quarantine reason records.
+void finish_serve(RunResult& run, util::Subprocess& server) {
+  int server_exit = -1;
+  if (!server.wait_for(120'000, &server_exit)) {
+    server.kill();
+    server.wait();
+    ADD_FAILURE() << "ps-serve did not finish within 120s";
+  }
+  EXPECT_EQ(server_exit, 0) << util::read_file(run.dir + "/serve.err");
+  run.report = parse_report(util::read_file(run.dir + "/serve.out"));
+  run.reasons = load_reasons(run.spool);
+}
+
 RunResult run_quota_fence(int clients, int batch_jobs,
                           const std::vector<std::string>& serve_extra,
                           const std::vector<std::string>& load_extra) {
   RunResult run;
   run.dir = util::make_temp_dir("serve_fair");
   run.spool = run.dir + "/spool";
-  std::vector<std::string> serve_argv = {
-      PS_SERVE_BIN, "--spool", run.spool, "--expect-clients",
-      strings::format("%d", clients), "--racks", "2", "--policy", "mix",
-      "--lambda", "0.5", "--stats-ms", "0", "--faults", ""};
-  serve_argv.insert(serve_argv.end(), serve_extra.begin(), serve_extra.end());
-  util::Subprocess server = util::Subprocess::spawn(
-      serve_argv, run.dir + "/serve.out", run.dir + "/serve.err");
+  util::Subprocess server = spawn_serve(run, clients, serve_extra);
 
   std::vector<std::string> load_argv = {
       PS_LOAD_BIN, "--spool", run.spool, "--swf", mini_trace(), "--clients",
@@ -208,34 +231,97 @@ RunResult run_quota_fence(int clients, int batch_jobs,
       load_argv, run.dir + "/load.out", run.dir + "/load.err");
 
   EXPECT_EQ(load.wait(), 0) << util::read_file(run.dir + "/load.err");
-  int server_exit = -1;
-  if (!server.wait_for(120'000, &server_exit)) {
-    server.kill();
-    server.wait();
-    ADD_FAILURE() << "ps-serve did not finish within 120s";
-  }
-  EXPECT_EQ(server_exit, 0) << util::read_file(run.dir + "/serve.err");
-  run.report = parse_report(util::read_file(run.dir + "/serve.out"));
-  run.reasons = load_reasons(run.spool);
+  finish_serve(run, server);
   return run;
+}
+
+/// Polls `done` every millisecond for up to a minute.
+template <typename Pred>
+bool wait_until(Pred done) {
+  for (int ms = 0; ms < 60'000; ++ms) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
 }
 
 TEST(ServeFairness, QuotasAndWeightsPreserveTheDetGolden) {
   // Three tenants (one per client, weights forwarded fleet-wide), a tight
   // jobs-per-window quota and a small DRR quantum: admission is heavily
   // reshaped, the deterministic fingerprint must not move at all.
-  RunResult run = run_quota_fence(
-      3, 17,
-      {"--quantum-jobs", "16", "--admit-window-ms", "25",
-       "--tenant-window-jobs", "24"},
-      {"--weight", "3"});
+  //
+  // The quota must engage however the host schedules, so the documents
+  // are published into a staging spool first and handed to the daemon in
+  // an order that forces it: everything except the first client's seq 0,
+  // and that one only once the daemon admits under quota (its status
+  // document lists tenants) and has claimed the client's later documents.
+  // Seq 0 then makes the whole stream ready in one admit cycle, whose
+  // 17 + 17 jobs exceed the 24-job window.
+  RunResult run;
+  run.dir = util::make_temp_dir("serve_fair");
+  run.spool = run.dir + "/spool";
+  const std::string staging = run.dir + "/staging";
+  util::Subprocess load = util::Subprocess::spawn(
+      {PS_LOAD_BIN, "--spool", staging, "--swf", mini_trace(), "--clients", "3",
+       "--batch-jobs", "17", "--weight", "3"},
+      run.dir + "/load.out", run.dir + "/load.err");
+  ASSERT_EQ(load.wait(), 0) << util::read_file(run.dir + "/load.err");
+
+  std::vector<std::pair<InboxName, std::string>> staged;
+  for (const std::string& name : util::list_files(inbox_dir(staging))) {
+    if (auto decoded = parse_inbox_name(name)) staged.emplace_back(*decoded, name);
+  }
+  ASSERT_FALSE(staged.empty());
+  std::string held_client;
+  for (const auto& [decoded, name] : staged) {
+    if (held_client.empty() || decoded.client < held_client) held_client = decoded.client;
+  }
+  auto held = [&held_client](const InboxName& decoded) {
+    return !decoded.hello && decoded.client == held_client && decoded.seq == 0;
+  };
+  std::vector<std::string> later;  // the held client's documents after seq 0
+  for (const auto& [decoded, name] : staged) {
+    if (!decoded.hello && decoded.client == held_client && decoded.seq > 0) {
+      later.push_back(name);
+    }
+  }
+  ASSERT_GE(later.size(), 1u);
+
+  util::Subprocess server = spawn_serve(
+      run, 3,
+      {"--quantum-jobs", "16", "--admit-window-ms", "25", "--tenant-window-jobs", "24"});
+  const std::string inbox = inbox_dir(run.spool);
+  util::ensure_dir(run.spool);
+  util::ensure_dir(inbox);
+  auto deliver = [&](const std::string& name) {
+    std::filesystem::rename(inbox_dir(staging) + "/" + name, inbox + "/" + name);
+  };
+  for (const auto& [decoded, name] : staged) {
+    if (decoded.hello) deliver(name);
+  }
+  for (const auto& [decoded, name] : staged) {
+    if (!decoded.hello && !held(decoded)) deliver(name);
+  }
+  EXPECT_TRUE(wait_until([&] {
+    for (const std::string& name : later) {
+      if (util::path_exists(inbox + "/" + name)) return false;
+    }
+    const std::string status = status_path(run.spool);
+    return util::path_exists(status) &&
+           !parse_status(util::read_file(status)).tenants.empty();
+  })) << "ps-serve never reached quota admission";
+  for (const auto& [decoded, name] : staged) {
+    if (held(decoded)) deliver(name);
+  }
+  finish_serve(run, server);
+
   ASSERT_TRUE(run.report.count("fingerprint"));
   EXPECT_EQ(run.report.at("fingerprint"), kGoldenFingerprint);
   EXPECT_EQ(field_u64(run.report, "admitted"), kMiniTraceJobs);
   EXPECT_EQ(field_u64(run.report, "jobs_declared"), kMiniTraceJobs);
   EXPECT_EQ(field_u64(run.report, "quarantined_docs"), 0u);
   EXPECT_EQ(field_u64(run.report, "poisoned_tenants"), 0u);
-  // 400 jobs against a 24-jobs-per-window cap cannot fit one window: the
+  // The held stream's first two documents met in one quota window: the
   // quota demonstrably engaged.
   EXPECT_GT(field_u64(run.report, "quota_deferrals"), 0u);
   EXPECT_EQ(run.reasons.size(), 0u);
